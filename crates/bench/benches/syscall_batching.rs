@@ -1,11 +1,12 @@
-//! Criterion bench for the batched submission ABI: a pipe/write-heavy
-//! workload issued as one syscall per round trip versus one batch per round
-//! trip, under both transport conventions.
+//! Criterion bench for gathered writes: a pipe/write-heavy workload issued
+//! as one syscall per line versus one `write_vectored`, under both transport
+//! conventions.
 //!
-//! The producer pushes `LINES` small writes through a pipe to a consumer.
+//! The producer pushes `LINES` small lines through a pipe to a consumer.
 //! The per-call variant pays the full transport cost (postMessage latency +
-//! structured clone, or shared-heap wake) once per line; the batched variant
-//! submits all the writes in a single `SyscallBatch` and pays it once.
+//! structured clone, or shared-heap wake) once per line; the `*_batched`
+//! variants gather all the lines with `write_vectored` into one `write` and
+//! pay it once.
 
 use std::sync::Arc;
 use std::time::Duration;

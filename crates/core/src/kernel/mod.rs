@@ -1716,19 +1716,29 @@ impl KernelState {
     }
 
     /// Completes every blocked system call of `target` with `EINTR` (the
-    /// wait-queue side of signal delivery).  Kernel-internal HTTP clients
-    /// run as pid 0 and are never signalled, so they cannot match.
+    /// wait-queue side of signal delivery).  A parked write or `sendfile`
+    /// that already moved bytes completes with that count instead, as POSIX
+    /// `write(2)` does, so a caller that retries on `EINTR` never resends
+    /// them.  Kernel-internal HTTP clients run as pid 0 and are never
+    /// signalled, so they cannot match.
     pub(crate) fn interrupt_waiters_of(&mut self, target: Pid) {
         debug_assert_ne!(target, 0, "pid 0 is reserved for kernel-internal waiters");
         for waiter in self.waiters.take_matching(|w| w.pid == target) {
             self.stats.eintr_wakeups += 1;
+            let result = match waiter.kind {
+                WaitKind::Write { written, .. } if written > 0 => SysResult::Int(written as i64),
+                WaitKind::Sendfile { sent, .. } if sent > 0 => SysResult::Int(sent as i64),
+                _ => SysResult::Err(Errno::EINTR),
+            };
             if let Some(reply) = waiter.reply {
-                self.complete(target, reply, SysResult::Err(Errno::EINTR));
+                self.complete(target, reply, result);
             }
         }
         // Reads/writes executing on foreign shards take EINTR too: cancel
         // at the owner (a racing completion finds no token and is dropped)
-        // and complete here.  Connects are exempt — their reply installs
+        // and complete here.  A cross-shard write reports EINTR even when
+        // the owner already moved some of its bytes, because `CancelOp`
+        // carries no count back.  Connects are exempt — their reply installs
         // the connection, and abandoning it would leak the server-side
         // streams the owner already created.
         let tokens: Vec<u64> = self

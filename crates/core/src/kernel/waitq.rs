@@ -705,6 +705,10 @@ impl KernelState {
                         }
                     }
                 }
+                // A write that already moved bytes reports them, as POSIX
+                // `write(2)` does; the error (EPIPE, with its SIGPIPE already
+                // raised) resurfaces on the next call.
+                Err(_) if written > 0 => self.finish_waiter(pid, reply, SysResult::Int(written as i64)),
                 Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
             },
             WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
@@ -859,16 +863,22 @@ impl KernelState {
                 token,
                 from_shard,
             } => match self.try_remote_write(stream, &data[written..]) {
-                // Mid-wait EPIPE mirrors the local Write arm: the error (and
-                // the submitter-side SIGPIPE) wins over the partial count.
+                // Mid-wait EPIPE mirrors the local Write arm: the submitter
+                // still gets SIGPIPE, but bytes already moved are reported
+                // as the result instead of the error.
                 Err(errno) => {
                     self.stats.wakeups += 1;
                     self.stats.cross_shard_wakeups += 1;
+                    let result = if written > 0 {
+                        SysResult::Int(written as i64)
+                    } else {
+                        SysResult::Err(errno)
+                    };
                     self.send_shard(
                         from_shard,
                         ShardMsg::RemoteOpDone {
                             token,
-                            result: SysResult::Err(errno),
+                            result,
                             raise_sigpipe: errno == Errno::EPIPE,
                         },
                     );

@@ -102,17 +102,19 @@ impl BrowsixEnv {
     }
 
     /// Writes straight through to the kernel, bypassing the stdout buffer.
+    /// An error after some chunks landed reports the bytes already written.
     fn write_through(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
         let mut written = 0;
         while written < data.len() {
             let chunk_len = (data.len() - written).min(self.client.max_staged_write());
             let chunk = &data[written..written + chunk_len];
             let source = self.client.stage_write(chunk);
-            let count = self.expect_int(Syscall::Write { fd, data: source })? as usize;
-            if count == 0 {
-                break;
+            match self.expect_int(Syscall::Write { fd, data: source }) {
+                Ok(0) => break,
+                Ok(count) => written += count as usize,
+                Err(e) if written == 0 => return Err(e),
+                Err(_) => break,
             }
-            written += count;
         }
         Ok(written)
     }
@@ -230,49 +232,6 @@ impl RuntimeEnv for BrowsixEnv {
             return Ok(data.len());
         }
         self.write_through(fd, data)
-    }
-
-    fn write_vectored(&mut self, fd: Fd, bufs: &[&[u8]]) -> Result<usize, Errno> {
-        if bufs.is_empty() {
-            return Ok(0);
-        }
-        if fd == 1 {
-            self.flush_stdout()?;
-        }
-        // One submission per shared-heap-capacity's worth of buffers: every
-        // write in a chunk is staged back to back and the whole chunk crosses
-        // to the kernel in a single round trip.
-        let capacity = self.client.max_staged_write();
-        let mut total = 0usize;
-        let mut start = 0usize;
-        while start < bufs.len() {
-            let mut end = start;
-            let mut staged = 0usize;
-            while end < bufs.len() && (end == start || staged + bufs[end].len() <= capacity) {
-                staged += bufs[end].len();
-                end += 1;
-            }
-            let sources = self.client.stage_writes(&bufs[start..end]);
-            let mut batch = SyscallBatch::new();
-            for source in sources {
-                batch.push(Syscall::Write { fd, data: source });
-            }
-            for result in self.client.submit(batch) {
-                match result {
-                    SysResult::Int(count) => total += count as usize,
-                    SysResult::Ok => {}
-                    SysResult::Err(e) => {
-                        if total == 0 {
-                            return Err(e);
-                        }
-                        return Ok(total);
-                    }
-                    _ => return Err(Errno::EIO),
-                }
-            }
-            start = end;
-        }
-        Ok(total)
     }
 
     fn flush_stdout(&mut self) -> Result<(), Errno> {

@@ -303,39 +303,18 @@ impl SyscallClient {
 
     /// Copies `data` into the shared heap's outgoing-data area (synchronous
     /// convention) and returns the byte-source descriptor for it.  Falls back
-    /// to an inline copy when running asynchronously.
+    /// to an inline copy when running asynchronously or when `data` does not
+    /// fit in the data area.
     pub fn stage_write(&mut self, data: &[u8]) -> browsix_core::ByteSource {
-        self.stage_writes(&[data]).pop().expect("one source per buffer")
-    }
-
-    /// Stages several buffers back to back in the shared heap, one
-    /// [`ByteSource`](browsix_core::ByteSource) per buffer, for a batch of
-    /// data-carrying entries submitted together.  Buffers that do not fit in
-    /// the data area fall back to inline copies.
-    pub fn stage_writes(&mut self, bufs: &[&[u8]]) -> Vec<browsix_core::ByteSource> {
-        match (&self.mode, &self.sync) {
-            (ClientMode::Sync, Some(state)) => {
-                let mut cursor = DATA_OFFSET;
-                bufs.iter()
-                    .map(|data| {
-                        if cursor + data.len() <= SYNC_HEAP_BYTES && state.sab.write_bytes(cursor, data).is_ok() {
-                            let source = browsix_core::ByteSource::SharedHeap {
-                                offset: cursor as u32,
-                                len: data.len() as u32,
-                            };
-                            cursor += data.len();
-                            source
-                        } else {
-                            browsix_core::ByteSource::Inline(data.to_vec())
-                        }
-                    })
-                    .collect()
+        if let (ClientMode::Sync, Some(state)) = (&self.mode, &self.sync) {
+            if DATA_OFFSET + data.len() <= SYNC_HEAP_BYTES && state.sab.write_bytes(DATA_OFFSET, data).is_ok() {
+                return browsix_core::ByteSource::SharedHeap {
+                    offset: DATA_OFFSET as u32,
+                    len: data.len() as u32,
+                };
             }
-            _ => bufs
-                .iter()
-                .map(|data| browsix_core::ByteSource::Inline(data.to_vec()))
-                .collect(),
         }
+        browsix_core::ByteSource::Inline(data.to_vec())
     }
 
     /// The maximum number of bytes [`SyscallClient::stage_write`] can place in

@@ -217,25 +217,23 @@ pub trait RuntimeEnv {
     /// Writes all of `data` to a descriptor (blocking), returning the count.
     fn write(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno>;
 
-    /// Writes every buffer, in order, to one descriptor, returning the total
-    /// byte count.  Environments backed by the batched syscall ABI
-    /// ([`BrowsixEnv`](crate::BrowsixEnv)) submit all buffers in a single
-    /// kernel round trip; the default implementation degrades to sequential
-    /// writes.
+    /// Writes every buffer, in order, to one descriptor, as `writev(2)` does:
+    /// the buffers are gathered into one payload and issued as a single
+    /// [`write`](RuntimeEnv::write), looping only on short counts.  Returns
+    /// the total byte count; an error after some bytes were written ends the
+    /// call with that count, and resurfaces on the next write.
     fn write_vectored(&mut self, fd: Fd, bufs: &[&[u8]]) -> Result<usize, Errno> {
-        let mut total = 0;
-        for data in bufs {
-            let mut written = 0;
-            while written < data.len() {
-                let count = self.write(fd, &data[written..])?;
-                if count == 0 {
-                    return Ok(total);
-                }
-                written += count;
-                total += count;
+        let data = bufs.concat();
+        let mut written = 0;
+        while written < data.len() {
+            match self.write(fd, &data[written..]) {
+                Ok(0) => break,
+                Ok(count) => written += count,
+                Err(e) if written == 0 => return Err(e),
+                Err(_) => break,
             }
         }
-        Ok(total)
+        Ok(written)
     }
 
     /// Flushes any buffered standard output.  Environments that buffer stdout

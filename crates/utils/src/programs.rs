@@ -272,7 +272,7 @@ fn run_grep(env: &mut dyn RuntimeEnv) -> i32 {
     if count_only {
         env.print(&format!("{matched}\n"));
     } else {
-        // All matching lines leave the process as one batched submission.
+        // All matching lines leave the process as one gathered write.
         let mut bufs: Vec<&[u8]> = Vec::with_capacity(matched * 2);
         for line in &matched_lines {
             bufs.push(line.as_bytes());
@@ -721,8 +721,7 @@ fn run_sort(env: &mut dyn RuntimeEnv) -> i32 {
     if reverse {
         all.reverse();
     }
-    // The sorted lines leave the process as one batched submission instead of
-    // being copied into a single giant string first.
+    // The sorted lines leave the process as one gathered write.
     let mut bufs: Vec<&[u8]> = Vec::with_capacity(all.len() * 2);
     for line in &all {
         bufs.push(line.as_bytes());

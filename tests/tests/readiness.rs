@@ -5,7 +5,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use browsix_core::{BootConfig, Errno, Kernel, Signal};
+use browsix_core::{BootConfig, Errno, Kernel, SigAction, Signal};
 use browsix_fs::FileSystem;
 use browsix_http::{HttpRequest, Method};
 use browsix_runtime::{
@@ -285,6 +285,77 @@ fn blocked_writer_gets_sigpipe_when_the_reader_closes() {
         "status: {status:?}, stderr: {}",
         handle.stderr_string()
     );
+    kernel.shutdown();
+}
+
+#[test]
+fn blocked_writer_ignoring_sigpipe_reports_bytes_moved_then_epipe() {
+    const PAYLOAD: usize = 256 * 1024;
+    let config = BootConfig::in_memory().with_shards(1);
+    config.registry.register(
+        "/usr/bin/gusher",
+        Arc::new(
+            NodeLauncher::new(
+                "gusher",
+                guest("gusher", |env: &mut dyn RuntimeEnv| {
+                    env.sigaction(Signal::SIGPIPE, SigAction::Ignore).unwrap();
+                    // Write through a dup of stdout, past the runtime's
+                    // stdout buffer, so every call below is one syscall.
+                    env.dup2(1, 3).unwrap();
+                    // The write parks on the full pipe; when the reader
+                    // closes, it must report the bytes it already moved
+                    // (POSIX write(2)) rather than lose them to EPIPE.
+                    match env.write(3, &vec![b'x'; PAYLOAD]) {
+                        Ok(n) if n > 0 && n < PAYLOAD => {}
+                        other => {
+                            env.eprint(&format!("first write: {other:?}\n"));
+                            return 1;
+                        }
+                    }
+                    // The error resurfaces on the next call.
+                    match env.write(3, b"x") {
+                        Err(Errno::EPIPE) => 0,
+                        other => {
+                            env.eprint(&format!("second write: {other:?}\n"));
+                            2
+                        }
+                    }
+                }),
+            )
+            .with_profile(instant_async()),
+        ),
+    );
+    config.registry.register(
+        "/usr/bin/parent",
+        Arc::new(
+            NodeLauncher::new(
+                "parent",
+                guest("parent", |env: &mut dyn RuntimeEnv| {
+                    let (r, w) = env.pipe().unwrap();
+                    let child = env
+                        .spawn(
+                            "/usr/bin/gusher",
+                            &["gusher".to_string()],
+                            SpawnStdio {
+                                stdout: Some(w),
+                                ..SpawnStdio::default()
+                            },
+                        )
+                        .unwrap();
+                    env.close(w).unwrap();
+                    let first = env.read(r, 4096).unwrap();
+                    assert_eq!(first.len(), 4096);
+                    env.close(r).unwrap();
+                    env.wait(child as i32).unwrap().exit_code.unwrap_or(-1)
+                }),
+            )
+            .with_profile(instant_async()),
+        ),
+    );
+    let kernel = Kernel::boot(config);
+    let handle = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
+    let status = handle.wait();
+    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
     kernel.shutdown();
 }
 

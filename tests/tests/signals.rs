@@ -9,9 +9,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use browsix_apps::Terminal;
-use browsix_core::{BootConfig, Errno, Kernel, SigAction, SigSet, Signal, SIG_BLOCK, SIG_UNBLOCK, WNOHANG, WUNTRACED};
+use browsix_core::exec::{LaunchContext, ProgramLauncher};
+use browsix_core::{
+    BootConfig, ByteSource, Errno, Kernel, SigAction, SigSet, Signal, SysResult, Syscall, SIG_BLOCK, SIG_UNBLOCK,
+    WNOHANG, WUNTRACED,
+};
 use browsix_fs::FileSystem;
-use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallConvention};
+use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallClient, SyscallConvention};
 
 fn instant_async() -> ExecutionProfile {
     ExecutionProfile::instant(SyscallConvention::Async)
@@ -92,6 +96,103 @@ fn signal_handler_interrupts_a_sleep_parked_task_with_eintr() {
     kernel.kill(handle.pid, Signal::SIGUSR1).unwrap();
     let status = handle.wait();
     assert_eq!(status.code, Some(5), "stderr: {}", handle.stderr_string());
+    kernel.shutdown();
+}
+
+/// Runs a guest directly on the system-call client, so a test sees the
+/// kernel's result for one `write` (the runtime's `write` loops on short
+/// counts and would hide it).
+struct RawLauncher(fn(&mut SyscallClient) -> i32);
+
+impl ProgramLauncher for RawLauncher {
+    fn launch(&self, ctx: LaunchContext) {
+        let (mut client, _) = SyscallClient::start(ctx, false);
+        if client.terminated() {
+            return;
+        }
+        let code = (self.0)(&mut client);
+        client.send_only(Syscall::Exit { code });
+    }
+}
+
+/// Installs a SIGUSR1 handler without SA_RESTART, then writes 256 KiB down
+/// stdout in one call; exits 0 iff that call reports a partial count.
+fn raw_writer_interrupted_mid_write(client: &mut SyscallClient) -> i32 {
+    const PAYLOAD: usize = 256 * 1024;
+    let handler = Syscall::SignalAction {
+        signal: Signal::SIGUSR1,
+        action: SigAction::Handler { restart: false },
+    };
+    if client.call(handler) != SysResult::Ok {
+        return 3;
+    }
+    match client.call(Syscall::Write {
+        fd: 1,
+        data: ByteSource::Inline(vec![b'x'; PAYLOAD]),
+    }) {
+        SysResult::Int(n) if n > 0 && (n as usize) < PAYLOAD => 0,
+        _ => 1,
+    }
+}
+
+#[test]
+fn signal_interrupting_a_parked_write_reports_the_bytes_moved() {
+    // A write parked mid-transfer on a full pipe, interrupted by a handler
+    // without SA_RESTART, must complete with the bytes it already moved
+    // (POSIX write(2)), not EINTR: an EINTR-retrying writer would send them
+    // twice.
+    let config = BootConfig::in_memory().with_shards(1);
+    config.registry.register(
+        "/usr/bin/writer",
+        Arc::new(RawLauncher(raw_writer_interrupted_mid_write)),
+    );
+    config.registry.register(
+        "/usr/bin/parent",
+        Arc::new(
+            NodeLauncher::new(
+                "parent",
+                guest("parent", |env: &mut dyn RuntimeEnv| {
+                    let (r, w) = env.pipe().unwrap();
+                    let child = env
+                        .spawn(
+                            "/usr/bin/writer",
+                            &["writer".to_string()],
+                            browsix_runtime::SpawnStdio {
+                                stdout: Some(w),
+                                ..Default::default()
+                            },
+                        )
+                        .unwrap();
+                    env.close(w).unwrap();
+                    // Readable means the write has filled the pipe, and it
+                    // parked in the same kernel step: signal it there.
+                    let mut pfds = [browsix_runtime::PollFd::readable(r)];
+                    env.poll(&mut pfds, -1).unwrap();
+                    env.kill(child, Signal::SIGUSR1).unwrap();
+                    let mut received = 0;
+                    loop {
+                        let chunk = env.read(r, 64 * 1024).unwrap();
+                        if chunk.is_empty() {
+                            break;
+                        }
+                        received += chunk.len();
+                    }
+                    let code = env.wait(child as i32).unwrap().exit_code.unwrap_or(-1);
+                    // Nothing was read before the signal, so the write had
+                    // moved exactly one pipeful.
+                    if code == 0 && received != 64 * 1024 {
+                        return 2;
+                    }
+                    code
+                }),
+            )
+            .with_profile(instant_async()),
+        ),
+    );
+    let kernel = Kernel::boot(config);
+    let handle = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
+    let status = handle.wait();
+    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
     kernel.shutdown();
 }
 
