@@ -5,7 +5,7 @@
 //! any diff (`scripts/abigen_check.sh`), so it can never go stale the way
 //! a hand-written spec would.
 
-use crate::{Abi, ResultKind, RingClass, SyscallDef};
+use crate::{Abi, ResultKind, SyscallDef};
 
 /// Renders the full reference manual as Markdown.
 pub fn render(abi: &Abi) -> String {
@@ -44,9 +44,12 @@ pub fn render(abi: &Abi) -> String {
 
     out.push_str(
         "## Transports and framing\n\n\
-         Every call travels in a **syscall batch** and every result in a\n\
-         **completion batch**; the same codec serves all three transports\n\
-         (async shared-memory mailbox, synchronous turn, persistent ring).\n\n\
+         The same codec serves both conventions. An asynchronous call travels\n\
+         in a **syscall batch** posted as a message, and its results come back\n\
+         in one **completion batch**. A synchronous call is one `syscall`\n\
+         entry in a slot of the process's persistent submission ring\n\
+         (`ring_setup`), and its result one `result` entry in the completion\n\
+         ring.\n\n\
          ```text\n\
          syscall batch:     u8 magic 0x42 | u8 version | u32 count | count × syscall\n\
          completion batch:  u8 magic 0x43 | u8 version | u32 count | count × (u32 index | result)\n\
@@ -58,31 +61,28 @@ pub fn render(abi: &Abi) -> String {
          tagged union: tag `0` = inline length-prefixed bytes, tag `1` = a\n\
          `(u32 offset, u32 len)` window into the shared heap (the zero-copy\n\
          path).\n\n\
-         ### Ring safety\n\n\
-         Calls marked **safe** may be written into a persistent ring slot\n\
-         (`ring_setup`); calls marked **framed** always use a framed batch\n\
-         because their result size is unbounded or their semantics pin the\n\
-         transport. Capped entries (`safe if …`) ride the ring only when the\n\
-         payload fits the registered ring buffer; the generated\n\
-         `browsix_core::abi::ring_safe` implements exactly the classification\n\
-         in this table.\n\n",
+         A ring entry too large for its slot spills into a run of the ring's\n\
+         registered buffers, and the slot carries a `DataFixed` reference to\n\
+         it instead. A `read` is clamped to what one completion carries (a\n\
+         short read). Anything larger than the buffer table fails: `E2BIG` on\n\
+         submission, `EOVERFLOW` on completion. `fork` returns `ENOSYS` under\n\
+         the synchronous convention (§3.2).\n\n",
     );
 
     // ---- opcode table ------------------------------------------------------
     out.push_str("## Opcode table\n\n");
-    out.push_str("| op | name | class | ring | result | errnos |\n");
-    out.push_str("|---:|------|-------|------|--------|--------|\n");
+    out.push_str("| op | name | class | result | errnos |\n");
+    out.push_str("|---:|------|-------|--------|--------|\n");
     for sc in &abi.syscalls {
         let name = match &sc.alt_name {
             Some((_, alt)) => format!("[{}](#{}) / {}", sc.wire_name, anchor(sc), alt),
             None => format!("[{}](#{})", sc.wire_name, anchor(sc)),
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} |\n",
             sc.opcode,
             name,
             sc.class,
-            sc.ring.label(),
             if sc.result_doc.is_empty() {
                 "—"
             } else {
@@ -188,19 +188,13 @@ fn render_syscall(out: &mut String, sc: &SyscallDef) {
     if sc.args.iter().any(|a| !a.docs.is_empty()) {
         out.push('\n');
     }
-    let ring = match &sc.ring {
-        RingClass::Safe => "ring-safe".to_string(),
-        RingClass::Framed => "framed-only (never rides a ring slot)".to_string(),
-        other => other.label(),
-    };
     out.push_str(&format!(
-        "**Result:** {} · **Ring:** {}{}\n\n",
+        "**Result:** {}{}\n\n",
         if sc.result_doc.is_empty() {
             "`Ok`"
         } else {
             &sc.result_doc
         },
-        ring,
         if sc.errnos.is_empty() {
             String::new()
         } else {

@@ -5,8 +5,8 @@
 //!   included by `src/syscall.rs`;
 //! * `dispatch_gen.rs` — the kernel dispatch match, included by
 //!   `src/kernel/mod.rs`;
-//! * `abi_gen.rs` — the opcode descriptors, generation manifest and
-//!   `ring_safe` classifier, included by `src/abi.rs`.
+//! * `abi_gen.rs` — the opcode descriptors and generation manifest,
+//!   included by `src/abi.rs`.
 
 use std::path::Path;
 

@@ -1,11 +1,10 @@
-//! The generated ABI manifest: per-opcode descriptors, generation counts and
-//! the ring-safety classifier, all derived from `abi/syscalls.abi` at build
-//! time by `browsix-abigen`.
+//! The generated ABI manifest: per-opcode descriptors and generation
+//! counts, derived from `abi/syscalls.abi` at build time by
+//! `browsix-abigen`.
 //!
 //! This module is how the rest of the system asks questions *about* the ABI
-//! (as opposed to using it): the runtime's ring submission path consults
-//! [`ring_safe`], and `table1_features` prints [`MANIFEST`] so ABI growth is
-//! visible release over release.
+//! (as opposed to using it): `table1_features` prints [`MANIFEST`] so ABI
+//! growth is visible release over release.
 //!
 //! # Example
 //!
@@ -15,14 +14,7 @@
 //! // Every opcode is described, in order, and the manifest counts agree.
 //! assert_eq!(abi::SYSCALLS.len() as u32, abi::MANIFEST.syscall_count);
 //! assert_eq!(abi::SYSCALLS[0].name, "spawn");
-//!
-//! // `getpid` is ring-safe; a directory read never rides the ring.
-//! use browsix_core::Syscall;
-//! assert!(abi::ring_safe(&Syscall::GetPid, 4096));
-//! assert!(!abi::ring_safe(&Syscall::Readdir { path: "/".into() }, 4096));
 //! ```
-
-use crate::syscall::Syscall;
 
 /// Compile-time description of one system call, straight from the IDL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +25,6 @@ pub struct SyscallDesc {
     pub opcode: u8,
     /// Figure 3 class, e.g. `"File IO"`.
     pub class: &'static str,
-    /// Human-readable ring-safety classification.
-    pub ring: &'static str,
 }
 
 /// Counts describing the generated ABI, printed by `table1_features` and CI
@@ -50,11 +40,6 @@ pub struct AbiManifest {
     pub max_opcode: u32,
     /// Number of result tags.
     pub result_count: u32,
-    /// Calls eligible for the persistent-ring transport (including capped
-    /// ones).
-    pub ring_eligible: u32,
-    /// Calls that always use a framed batch.
-    pub framed_only: u32,
 }
 
 include!(concat!(env!("OUT_DIR"), "/abi_gen.rs"));

@@ -121,24 +121,22 @@ impl std::fmt::Debug for HostRequest {
 
 /// An event on the kernel's queue.
 pub enum KernelEvent {
-    /// A submission batch of system calls issued by a process.
+    /// A submission batch of system calls posted by a process over the
+    /// asynchronous convention.
     Syscall {
         /// The calling process.
         pid: Pid,
-        /// How the batch travelled (and how to reply).
+        /// The batch and the sequence number its reply must carry.
         transport: Transport,
     },
     /// A process registering its shared heap for synchronous system calls
-    /// (sent once at runtime startup, as described in §3.2 of the paper).
+    /// (sent once at runtime startup, as described in §3.2 of the paper,
+    /// right before the `ring_setup` call that maps its ring into it).
     RegisterSyncHeap {
         /// The registering process.
         pid: Pid,
         /// The shared memory.
         sab: SharedArrayBuffer,
-        /// Offset of the response area.
-        resp_offset: usize,
-        /// Offset of the wake address.
-        wake_offset: usize,
     },
     /// A process ringing its submission-ring doorbell: its SQ went from
     /// empty to non-empty while the kernel had the `NEED_WAKEUP` flag set.
@@ -160,13 +158,7 @@ pub enum KernelEvent {
 impl std::fmt::Debug for KernelEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelEvent::Syscall { pid, transport } => {
-                let kind = match transport {
-                    Transport::Async { .. } => "async",
-                    Transport::Sync { .. } => "sync",
-                };
-                write!(f, "Syscall(pid={pid}, {kind})")
-            }
+            KernelEvent::Syscall { pid, transport } => write!(f, "Syscall(pid={pid}, seq={})", transport.seq),
             KernelEvent::RegisterSyncHeap { pid, .. } => write!(f, "RegisterSyncHeap(pid={pid})"),
             KernelEvent::Doorbell { pid } => write!(f, "Doorbell(pid={pid})"),
             KernelEvent::Host(req) => write!(f, "Host({req:?})"),
@@ -190,20 +182,14 @@ mod tests {
 
         let event = KernelEvent::Syscall {
             pid: 2,
-            transport: Transport::Sync {
+            transport: Transport {
+                seq: 1,
                 payload: SyscallBatch::single(Syscall::GetPid).encode(),
             },
         };
-        assert_eq!(format!("{event:?}"), "Syscall(pid=2, sync)");
-
-        let event = KernelEvent::Syscall {
-            pid: 3,
-            transport: Transport::Async {
-                seq: 1,
-                payload: Vec::new(),
-            },
-        };
-        assert!(format!("{event:?}").contains("async"));
+        assert_eq!(format!("{event:?}"), "Syscall(pid=2, seq=1)");
+        let event = KernelEvent::Doorbell { pid: 3 };
+        assert_eq!(format!("{event:?}"), "Doorbell(pid=3)");
         assert_eq!(format!("{:?}", KernelEvent::Shutdown), "Shutdown");
     }
 

@@ -27,13 +27,13 @@ use browsix_fs::{Errno, MountedFs};
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
 use crate::fd::{Fd, FileKind, OpenFile, SocketSide};
-use crate::ring::{Ring, RingGeometry};
+use crate::ring::{PushError, Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{Connection, ConnectionId, SocketTable};
 use crate::stats::KernelStats;
 use crate::streams::{StreamId, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, Transport};
-use crate::task::{InflightBatch, Pid, SyncHeap, Task, TaskState};
+use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
 
 pub(crate) use shard::{RemoteRevents, RouterState, ShardMsg};
@@ -42,14 +42,13 @@ pub use waitq::{WaitChannel, WaitTable, WaiterId};
 
 /// Where a system call's result belongs.
 ///
-/// Batch entries complete into the task's [`InflightBatch`] (the transport
-/// convention and, for the asynchronous convention, the reply sequence
-/// number live there, so both framed conventions share one completion
-/// path).  Ring entries complete individually: each one becomes a
-/// completion-queue entry tagged with the submitter's `user_data`.
+/// Asynchronous batch entries complete into the task's [`InflightBatch`]
+/// (the reply sequence number lives there) and are delivered together.
+/// Ring entries — every synchronous call — complete individually: each one
+/// becomes a completion-queue entry tagged with the submitter's `user_data`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyTo {
-    /// The slot of the entry within the submission batch it arrived in.
+    /// The slot of the entry within the asynchronous batch it arrived in.
     Batch {
         /// Index of the entry within its submission batch.
         index: u32,
@@ -59,6 +58,20 @@ pub enum ReplyTo {
         /// The submitter's cookie, echoed on the completion entry.
         user_data: u32,
     },
+}
+
+/// Clamps a read's length to what one ring completion carries (a short
+/// read, which POSIX allows); every other call passes through unchanged.
+fn clamp_read(call: Syscall, max: u32) -> Syscall {
+    match call {
+        Syscall::Read { fd, len } => Syscall::Read { fd, len: len.min(max) },
+        Syscall::Pread { fd, len, offset } => Syscall::Pread {
+            fd,
+            len: len.min(max),
+            offset,
+        },
+        call => call,
+    }
 }
 
 /// The outcome of dispatching a system call.
@@ -260,18 +273,9 @@ impl KernelState {
     fn handle_event(&mut self, event: KernelEvent) {
         match event {
             KernelEvent::Syscall { pid, transport } => self.handle_syscall(pid, transport),
-            KernelEvent::RegisterSyncHeap {
-                pid,
-                sab,
-                resp_offset,
-                wake_offset,
-            } => {
+            KernelEvent::RegisterSyncHeap { pid, sab } => {
                 if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.sync_heap = Some(SyncHeap {
-                        sab,
-                        resp_offset,
-                        wake_offset,
-                    });
+                    task.sync_heap = Some(sab);
                 }
             }
             KernelEvent::Doorbell { pid } => {
@@ -818,10 +822,10 @@ impl KernelState {
         let Some(heap) = task.sync_heap.as_ref() else {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         };
-        if !geo.validate(heap.sab.len()) {
+        if !geo.validate(heap.len()) {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         }
-        task.ring = Some(Ring::new(heap.sab.clone(), geo));
+        task.ring = Some(Ring::new(heap.clone(), geo));
         Outcome::Complete(SysResult::Ok)
     }
 
@@ -846,19 +850,28 @@ impl KernelState {
     /// their submitter saw the flag still clear and suppressed its doorbell,
     /// so they must be consumed by this pass — this loop is what guarantees
     /// a non-empty queue never goes undrained.
+    ///
+    /// A task that is not running consumes nothing: a stopped task's
+    /// entries stay in its queue (the queue is its stash) until
+    /// [`KernelState::continue_task`] drains it.  A corrupt ring carries
+    /// nothing further.
     fn drain_ring(&mut self, pid: Pid) {
         let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.clone()) else {
             return;
         };
         self.flush_pending_cqes(pid, &ring);
+        if ring.is_corrupt() {
+            return;
+        }
+        let max_read = ring.geometry().max_read_bytes();
         loop {
-            while let Some((user_data, payload)) = ring.pop_sqe() {
+            while self.tasks.get(&pid).is_some_and(Task::is_running) {
+                let Some((user_data, frame)) = ring.pop_sqe() else {
+                    break;
+                };
                 self.stats.sq_polled += 1;
-                if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
-                    return;
-                }
-                let mut r = Reader::new(&payload);
-                let Some(call) = Syscall::decode_from(&mut r) else {
+                let call = frame.ok().and_then(|f| Syscall::decode_from(&mut Reader::new(&f)));
+                let Some(call) = call else {
                     self.post_ring_completion(pid, user_data, SysResult::Err(Errno::EINVAL));
                     continue;
                 };
@@ -867,12 +880,15 @@ impl KernelState {
                     task.syscall_count += 1;
                 }
                 let reply = ReplyTo::Ring { user_data };
-                match self.dispatch(pid, reply, call) {
+                match self.dispatch(pid, reply, clamp_read(call, max_read)) {
                     Outcome::Complete(result) => self.post_ring_completion(pid, user_data, result),
                     Outcome::Blocked => {}
                     // `exit` tears the task down; nothing further to drain.
                     Outcome::NoReply => return,
                 }
+            }
+            if !self.tasks.get(&pid).is_some_and(Task::is_running) {
+                return;
             }
             ring.set_need_wakeup();
             if ring.sq_is_empty() {
@@ -894,12 +910,13 @@ impl KernelState {
     /// "non-empty with `NEED_WAKEUP` set" is legal mid-publish.  The strict
     /// single-threaded invariant (a drained queue is empty with the flag
     /// set) is asserted by the deterministic ring model property test.
+    /// A stopped task's queue legitimately holds entries until SIGCONT.
     #[cfg(feature = "scavenger")]
     fn scavenge_rings(&mut self) {
         let pids: Vec<Pid> = self
             .tasks
             .values()
-            .filter(|t| t.is_alive() && t.ring.is_some())
+            .filter(|t| t.is_running() && t.ring.is_some())
             .map(|t| t.pid)
             .collect();
         for pid in pids {
@@ -911,7 +928,7 @@ impl KernelState {
                     break;
                 }
                 self.drain_ring(pid);
-                if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
+                if !self.tasks.get(&pid).is_some_and(Task::is_running) {
                     break;
                 }
             }
@@ -961,72 +978,32 @@ impl KernelState {
     }
 
     /// Encodes one result into a completion-queue entry and publishes it.
-    ///
-    /// Bulk `Data` results that exceed the slot's payload capacity travel by
-    /// registered buffer instead: the bytes go into a free buffer and the
-    /// entry carries a 12-byte [`SysResult::DataFixed`] reference.
+    /// A frame too large for a slot spills into registered buffers (see
+    /// [`Ring`]); one larger than the whole buffer table is replaced by
+    /// `EOVERFLOW`.
     ///
     /// # Errors
     ///
     /// Returns the result back when it cannot be posted right now (queue
-    /// full, or no registered buffer free for an oversized payload); the
-    /// caller keeps it in the task's overflow queue.
+    /// full, or no run of registered buffers free); the caller keeps it in
+    /// the task's overflow queue.
     fn try_post_cqe(&mut self, ring: &Ring, user_data: u32, result: SysResult) -> Result<(), SysResult> {
-        if ring.cq_space() == 0 {
-            return Err(result);
-        }
         let mut frame = Vec::with_capacity(16);
         result.encode_into(&mut frame);
-        let mut fixed_buf = None;
-        if frame.len() > ring.geometry().slot_payload_bytes() {
-            let SysResult::Data(data) = result else {
-                // Non-bulk results are bounded by the client's routing policy
-                // (large-result calls use the framed transport); a breach is
-                // a kernel bug, not a guest error.
-                debug_assert!(false, "oversized non-Data ring completion");
-                return Err(result);
-            };
-            if data.len() > ring.geometry().buf_bytes as usize {
-                debug_assert!(false, "ring read larger than a registered buffer");
-                return Err(SysResult::Data(data));
+        match ring.push_cqe(user_data, &frame) {
+            Ok(()) => {
+                self.stats.cq_posted += 1;
+                Ok(())
             }
-            let Some(buf) = ring.alloc_buf() else {
-                return Err(SysResult::Data(data));
-            };
-            if !ring.write_buf(buf, &data) {
-                ring.free_buf(buf);
-                return Err(SysResult::Data(data));
-            }
-            frame.clear();
-            SysResult::DataFixed {
-                buf,
-                len: data.len() as u32,
-            }
-            .encode_into(&mut frame);
-            fixed_buf = Some(buf);
-        }
-        if ring.push_cqe(user_data, &frame) {
-            self.stats.cq_posted += 1;
-            Ok(())
-        } else {
-            if let Some(buf) = fixed_buf {
-                ring.free_buf(buf);
-            }
-            // The queue filled between the space check and the push (it
-            // cannot — both run on this thread — but stay defensive).
-            Err(SysResult::Err(Errno::EINVAL))
+            Err(PushError::TooBig) => self.try_post_cqe(ring, user_data, SysResult::Err(Errno::EOVERFLOW)),
+            Err(PushError::Full | PushError::Corrupt) => Err(result),
         }
     }
 
     // ---- system-call entry ---------------------------------------------------
 
     fn handle_syscall(&mut self, pid: Pid, transport: Transport) {
-        let sync = transport.is_sync();
-        let wire_bytes = transport.payload_len();
-        let seq = match &transport {
-            Transport::Async { seq, .. } => *seq,
-            Transport::Sync { .. } => 0,
-        };
+        let seq = transport.seq;
         match self.tasks.get_mut(&pid) {
             None => return,
             Some(task) if task.is_stopped() => {
@@ -1041,25 +1018,23 @@ impl KernelState {
         }
         let Some(batch) = transport.decode_batch() else {
             // An undecodable frame (corruption, codec-version skew) must
-            // still produce a reply: a sync-convention process has already
-            // armed its wake word and would otherwise hang forever.
+            // still produce a reply, or its process waits forever.
             let error = CompletionBatch {
                 completions: vec![Completion {
                     index: 0,
                     result: SysResult::Err(Errno::EINVAL),
                 }],
             };
-            self.deliver_payload(pid, sync, seq, error.encode());
+            self.deliver_payload(pid, seq, error.encode());
             return;
         };
         if batch.is_empty() {
             return;
         }
-        self.stats.record_batch(batch.len(), sync, wire_bytes);
+        self.stats.record_batch(batch.len(), transport.payload.len());
         if let Some(task) = self.tasks.get_mut(&pid) {
             task.inflight = Some(InflightBatch {
                 seq,
-                sync,
                 total: batch.len() as u32,
                 completions: Vec::with_capacity(batch.len()),
             });
@@ -1067,12 +1042,12 @@ impl KernelState {
         for (index, call) in batch.entries.into_iter().enumerate() {
             // A mid-batch self-stop keeps dispatching the remaining entries:
             // abandoning them would leave the batch incomplete and hang the
-            // worker in `Atomics.wait` even after SIGCONT.  Only exit (which
-            // consumes the batch via `NoReply`) ends it early.
+            // worker even after SIGCONT.  Only exit (which consumes the batch
+            // via `NoReply`) ends it early.
             if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
                 return;
             }
-            self.stats.record_syscall(call.name(), call.class(), sync);
+            self.stats.record_syscall(call.name(), call.class(), false);
             if let Some(task) = self.tasks.get_mut(&pid) {
                 task.syscall_count += 1;
             }
@@ -1113,10 +1088,9 @@ impl KernelState {
     }
 
     /// Delivers the task's in-flight batch once every entry has completed:
-    /// one response message (asynchronous convention) or one shared-heap
-    /// write + notify (synchronous convention), either way carrying the same
-    /// encoded [`CompletionBatch`] frame.  The receiving client places each
-    /// completion by its index, so no ordering is imposed here.
+    /// one response message carrying the encoded [`CompletionBatch`] frame.
+    /// The receiving client places each completion by its index, so no
+    /// ordering is imposed here.
     fn maybe_deliver_batch(&mut self, pid: Pid) {
         let Some(task) = self.tasks.get_mut(&pid) else { return };
         if !task.inflight.as_ref().map(InflightBatch::is_complete).unwrap_or(false) {
@@ -1127,28 +1101,16 @@ impl KernelState {
             completions: inflight.completions,
         }
         .encode();
-        self.deliver_payload(pid, inflight.sync, inflight.seq, payload);
+        self.deliver_payload(pid, inflight.seq, payload);
     }
 
-    /// Sends an encoded [`CompletionBatch`] frame over the given convention.
-    fn deliver_payload(&mut self, pid: Pid, sync: bool, seq: u64, payload: Vec<u8>) {
-        if sync {
-            let Some(heap) = self.tasks.get(&pid).and_then(|t| t.sync_heap.clone()) else {
-                return;
-            };
-            // [u32 length][frame] at resp_offset, then wake the process.
-            let _ = heap
-                .sab
-                .write_bytes(heap.resp_offset, &(payload.len() as u32).to_le_bytes());
-            let _ = heap.sab.write_bytes(heap.resp_offset + 4, &payload);
-            let _ = heap.sab.store_and_notify(heap.wake_offset, 1);
-        } else {
-            let msg = Message::map()
-                .with("type", "syscall-response")
-                .with("seq", seq as i64)
-                .with("completions", payload);
-            self.post_to_worker(pid, msg);
-        }
+    /// Posts an encoded [`CompletionBatch`] frame as the reply to batch `seq`.
+    fn deliver_payload(&mut self, pid: Pid, seq: u64, payload: Vec<u8>) {
+        let msg = Message::map()
+            .with("type", "syscall-response")
+            .with("seq", seq as i64)
+            .with("completions", payload);
+        self.post_to_worker(pid, msg);
     }
 
     /// Posts a message to a process's worker, recording the copy cost.
@@ -1786,8 +1748,9 @@ impl KernelState {
         }
     }
 
-    /// Resumes a stopped task (SIGCONT): replays the system-call batches
-    /// stashed while it was suspended, in arrival order.
+    /// Resumes a stopped task (SIGCONT): replays the asynchronous batches
+    /// stashed while it was suspended, in arrival order, and drains the
+    /// ring entries that queued up meanwhile.
     fn continue_task(&mut self, target: Pid) {
         let Some(task) = self.tasks.get_mut(&target) else {
             return;
@@ -1813,6 +1776,7 @@ impl KernelState {
         for transport in stashed {
             self.handle_syscall(target, transport);
         }
+        self.drain_ring(target);
     }
 
     // ---- shared helpers --------------------------------------------------------

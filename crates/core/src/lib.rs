@@ -13,10 +13,11 @@
 //!   web application.
 //! * Each process is a worker created through `browsix-browser`.  Processes
 //!   issue system calls over two conventions:
-//!   [asynchronous](syscall::Transport::Async) (structured-clone messages,
-//!   works everywhere) and [synchronous](syscall::Transport::Sync)
-//!   (integer arguments plus a `SharedArrayBuffer` heap and `Atomics.wait`,
-//!   Chrome-only at publication time but much faster).
+//!   [asynchronous](syscall::Transport) (structured-clone messages, works
+//!   everywhere) and synchronous: each call is an entry in a persistent
+//!   [submission/completion ring](ring) inside a `SharedArrayBuffer` heap,
+//!   with `Atomics.wait` on the completion tail (Chrome-only at publication
+//!   time but much faster).
 //! * The file system is a [`browsix_fs::MountedFs`] shared by every process.
 //! * Pipes, sockets and signals live in kernel tables and are reference
 //!   counted across `spawn`/`fork`/`dup`/process exit.

@@ -21,7 +21,8 @@ pub struct KernelStats {
     pub async_syscalls: u64,
     /// Calls made over the synchronous (shared-memory) convention.
     pub sync_syscalls: u64,
-    /// Submission batches received (each carries one or more calls).
+    /// Asynchronous submission batches received (each carries one or more
+    /// calls; synchronous calls arrive as ring entries, see `sq_polled`).
     pub batches: u64,
     /// Histogram of submission-batch sizes: entries-per-batch → batch count.
     pub batch_size_histogram: BTreeMap<u32, u64>,
@@ -102,15 +103,12 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Records a submission batch arriving at the kernel.  `wire_bytes` is the
-    /// size of the encoded frame, charged as copy cost only for the
-    /// asynchronous convention (the synchronous frame lives in shared memory).
-    pub fn record_batch(&mut self, entries: usize, synchronous: bool, wire_bytes: usize) {
+    /// Records an asynchronous submission batch arriving at the kernel;
+    /// `wire_bytes`, the size of its encoded frame, is charged as copy cost.
+    pub fn record_batch(&mut self, entries: usize, wire_bytes: usize) {
         self.batches += 1;
         *self.batch_size_histogram.entry(entries as u32).or_insert(0) += 1;
-        if !synchronous {
-            self.bytes_copied += wire_bytes as u64;
-        }
+        self.bytes_copied += wire_bytes as u64;
     }
 
     /// Records one system call dispatched from a batch.
@@ -238,15 +236,14 @@ mod tests {
     #[test]
     fn records_split_by_convention_and_class() {
         let mut stats = KernelStats::default();
-        stats.record_batch(2, false, 120);
+        stats.record_batch(2, 120);
         stats.record_syscall("open", "File IO", false);
         stats.record_syscall("read", "File IO", false);
-        stats.record_batch(1, true, 64);
         stats.record_syscall("read", "File IO", true);
         assert_eq!(stats.total_syscalls, 3);
         assert_eq!(stats.async_syscalls, 2);
         assert_eq!(stats.sync_syscalls, 1);
-        assert_eq!(stats.bytes_copied, 120, "sync frames are not structured-clone copied");
+        assert_eq!(stats.bytes_copied, 120, "ring entries are not structured-clone copied");
         assert_eq!(stats.count("read"), 2);
         assert_eq!(stats.count("open"), 1);
         assert_eq!(stats.count("write"), 0);
@@ -258,9 +255,9 @@ mod tests {
     #[test]
     fn batch_histogram_tracks_sizes() {
         let mut stats = KernelStats::default();
-        stats.record_batch(1, false, 10);
-        stats.record_batch(1, false, 10);
-        stats.record_batch(8, false, 200);
+        stats.record_batch(1, 10);
+        stats.record_batch(1, 10);
+        stats.record_batch(8, 200);
         for _ in 0..10 {
             stats.record_syscall("write", "File IO", false);
         }
@@ -301,12 +298,12 @@ mod tests {
     #[test]
     fn merge_sums_counters_and_maps() {
         let mut a = KernelStats::default();
-        a.record_batch(2, false, 100);
+        a.record_batch(2, 100);
         a.record_syscall("read", "File IO", false);
         a.record_syscall("open", "File IO", false);
         a.shard_msgs_sent = 3;
         let mut b = KernelStats::default();
-        b.record_batch(1, true, 50);
+        b.record_batch(1, 50);
         b.record_syscall("read", "File IO", true);
         b.steals = 2;
         b.cross_shard_wakeups = 1;

@@ -345,49 +345,23 @@ impl From<Result<SysResult, Errno>> for SysResult {
     }
 }
 
-/// How a submission batch travelled from the process to the kernel.
-///
-/// Both variants carry the same wire frame (an encoded [`SyscallBatch`]);
-/// they differ only in how the frame crossed the worker boundary and how the
-/// completion batch must be delivered back, which is what lets the kernel
-/// run one code path for both conventions.
+/// A submission batch posted to the kernel over the asynchronous
+/// convention: the encoded [`SyscallBatch`] frame was structured-clone
+/// copied inside a message, and the reply must be a message carrying `seq`.
+/// (The synchronous convention never builds one: its calls ride the
+/// process's [`crate::ring::Ring`] one entry at a time.)
 #[derive(Debug, Clone, PartialEq)]
-pub enum Transport {
-    /// Asynchronous convention: the frame was structured-clone copied inside
-    /// a message, and the reply must be a message carrying `seq`.
-    Async {
-        /// Per-process sequence number used to match responses.
-        seq: u64,
-        /// The encoded submission batch.
-        payload: Vec<u8>,
-    },
-    /// Synchronous convention: the frame sits in the process's shared heap
-    /// (carried here by value in the simulation); the reply is written into
-    /// the shared heap and the process woken with `Atomics.notify`.
-    Sync {
-        /// The encoded submission batch.
-        payload: Vec<u8>,
-    },
+pub struct Transport {
+    /// Per-process sequence number used to match responses.
+    pub seq: u64,
+    /// The encoded submission batch.
+    pub payload: Vec<u8>,
 }
 
 impl Transport {
-    /// Whether this is the synchronous (shared-memory) convention.
-    pub fn is_sync(&self) -> bool {
-        matches!(self, Transport::Sync { .. })
-    }
-
-    /// The size of the encoded submission frame in bytes.
-    pub fn payload_len(&self) -> usize {
-        match self {
-            Transport::Async { payload, .. } | Transport::Sync { payload } => payload.len(),
-        }
-    }
-
-    /// Decodes the submission batch carried by either convention.
+    /// Decodes the submission batch the message carried.
     pub fn decode_batch(&self) -> Option<SyscallBatch> {
-        match self {
-            Transport::Async { payload, .. } | Transport::Sync { payload } => SyscallBatch::decode(payload),
-        }
+        SyscallBatch::decode(&self.payload)
     }
 }
 
@@ -809,20 +783,19 @@ mod tests {
 
     #[test]
     fn transports_share_the_codec() {
+        // A message carries the whole batch frame; a ring slot carries each
+        // entry's bytes of that same frame.
         let batch = SyscallBatch {
             entries: vec![Syscall::GetPid, Syscall::Pipe2],
         };
         let payload = batch.encode();
-        let on_message = Transport::Async {
-            seq: 9,
-            payload: payload.clone(),
-        };
-        let on_shared_heap = Transport::Sync { payload };
-        assert!(!on_message.is_sync());
-        assert!(on_shared_heap.is_sync());
-        assert_eq!(on_message.payload_len(), on_shared_heap.payload_len());
+        let on_message = Transport { seq: 9, payload };
         assert_eq!(on_message.decode_batch().unwrap(), batch);
-        assert_eq!(on_shared_heap.decode_batch().unwrap(), batch);
+        let mut slots = Vec::new();
+        for call in &batch.entries {
+            call.encode_into(&mut slots);
+        }
+        assert!(on_message.payload.ends_with(&slots));
     }
 
     #[test]

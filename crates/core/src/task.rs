@@ -27,7 +27,7 @@ pub enum TaskState {
     /// The process is running (its worker is alive).
     Running,
     /// The process is suspended by a job-control stop signal.  Its worker is
-    /// still alive, but the kernel stashes incoming system-call batches until
+    /// still alive, but the kernel services none of its system calls until
     /// SIGCONT, so the process freezes at its next syscall boundary.
     Stopped {
         /// The stop signal that suspended it.
@@ -40,31 +40,16 @@ pub enum TaskState {
     },
 }
 
-/// The shared heap a process registered for synchronous system calls: the
-/// `SharedArrayBuffer` plus the offsets agreed with the kernel for the
-/// response area and the wake address.
-#[derive(Debug, Clone)]
-pub struct SyncHeap {
-    /// The shared memory.
-    pub sab: SharedArrayBuffer,
-    /// Where the kernel writes encoded system-call results.
-    pub resp_offset: usize,
-    /// The `Atomics.wait`/`Atomics.notify` address.
-    pub wake_offset: usize,
-}
-
-/// Bookkeeping for the submission batch the task currently has in flight.
+/// Bookkeeping for the asynchronous submission batch the task currently has
+/// in flight.
 ///
 /// A process issues at most one batch at a time (its runtime blocks until the
 /// batch completes), so the kernel tracks completions here and delivers them
-/// all at once — a single reply message or a single shared-heap write —
-/// when the last entry finishes.
+/// all at once — a single reply message — when the last entry finishes.
 #[derive(Debug)]
 pub struct InflightBatch {
-    /// Sequence number the reply must carry (asynchronous convention only).
+    /// Sequence number the reply must carry.
     pub seq: u64,
-    /// Whether the batch arrived over the synchronous convention.
-    pub sync: bool,
     /// Number of entries the batch was submitted with.
     pub total: u32,
     /// Completions collected so far, in completion (not submission) order.
@@ -105,13 +90,15 @@ pub struct Task {
     /// Whether the current stop has been reported to a `WUNTRACED` waiter
     /// (each stop is reported at most once, like Linux).
     pub stop_reported: bool,
-    /// System-call batches that arrived while the task was stopped; replayed
-    /// in arrival order on SIGCONT.
+    /// Asynchronous batches that arrived while the task was stopped; replayed
+    /// in arrival order on SIGCONT.  (A stopped task's ring entries simply
+    /// stay in its submission queue.)
     pub stashed_transports: Vec<Transport>,
     /// Registered shared heap for synchronous system calls.
-    pub sync_heap: Option<SyncHeap>,
+    pub sync_heap: Option<SharedArrayBuffer>,
     /// Persistent submission/completion ring mapped into the shared heap
-    /// (set up once by `RingSetup` after heap registration).
+    /// (set up once by `RingSetup` after heap registration); every
+    /// synchronous call rides it.
     pub ring: Option<Ring>,
     /// Ring completions that could not be posted yet (completion queue full
     /// or no registered buffer free); flushed on every ring drain pass.

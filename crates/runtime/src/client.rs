@@ -3,51 +3,46 @@
 //! This is the "common services" syscall layer of §4.2: a typed API over the
 //! browser's message-passing primitives that language runtimes use to talk to
 //! the shared kernel.  Calls are issued as [`SyscallBatch`] submissions —
-//! [`SyscallClient::submit`] sends a whole batch in one round trip and
-//! returns one result per entry; [`SyscallClient::call`] is the one-entry
-//! convenience.  Both transport conventions from §3.2 carry the same encoded
-//! frames:
+//! [`SyscallClient::submit`] submits a whole batch and returns one result per
+//! entry; [`SyscallClient::call`] is the one-entry convenience.  The two
+//! conventions from §3.2 carry the same wire encoding:
 //!
 //! * **asynchronous** — the encoded batch is posted to the kernel inside a
 //!   structured-clone message; the worker then waits for the single response
 //!   message carrying the encoded completion batch.  The clone cost is paid
 //!   once per batch instead of once per call.
 //! * **synchronous** — at startup the client allocates a `SharedArrayBuffer`
-//!   heap and registers it (plus a response offset and a wake address) with
-//!   the kernel.  Submissions carry only integers; bulk data is staged in the
-//!   shared heap, and the worker blocks in `Atomics.wait` until the kernel
-//!   writes the encoded completion batch into the heap and notifies it.
+//!   heap, registers it with the kernel and, over the asynchronous
+//!   convention (the way `init` arrives), asks the kernel to map a persistent
+//!   submission/completion [`Ring`] into it.  From then on every call is a
+//!   submission entry written in place; bulk write data is staged in the
+//!   heap, frames too large for a slot spill into the ring's registered
+//!   buffers, and the worker blocks in `Atomics.wait` on the completion tail.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use browsix_browser::time::precise_delay;
-use browsix_browser::{AtomicsWaitResult, Message, PlatformConfig, SharedArrayBuffer, WorkerScope};
+use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope};
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
-use browsix_core::ring::{Ring, RingGeometry};
+use browsix_core::ring::{PushError, Ring, RingGeometry, RING_REGION_BYTES};
 use browsix_core::wire::Reader;
 use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch, Transport};
 use crossbeam::channel::Sender;
 
-/// Size of the shared heap allocated for synchronous system calls.
-const SYNC_HEAP_BYTES: usize = 1024 * 1024;
-/// Offset of the wake address within the shared heap.
-const WAKE_OFFSET: usize = 0;
-/// Offset of the response area within the shared heap.
-const RESP_OFFSET: usize = 64;
-/// Offset of the outgoing-data area within the shared heap.
-const DATA_OFFSET: usize = 256 * 1024;
+/// Offset of the outgoing-data area (staged write payloads) within the
+/// shared heap.
+const DATA_OFFSET: usize = 0;
+/// Capacity of the outgoing-data area.
+const SYNC_DATA_CAPACITY: usize = 256 * 1024;
 /// Offset of the persistent syscall-ring region (submission and completion
 /// queues plus the registered-buffer table) within the shared heap.
-const RING_REGION_OFFSET: usize = 512 * 1024;
-/// Capacity of the outgoing-data area.
-pub const SYNC_DATA_CAPACITY: usize = RING_REGION_OFFSET - DATA_OFFSET;
+const RING_REGION_OFFSET: usize = DATA_OFFSET + SYNC_DATA_CAPACITY;
+/// Size of the shared heap allocated for synchronous system calls.
+const SYNC_HEAP_BYTES: usize = RING_REGION_OFFSET + RING_REGION_BYTES as usize;
 /// Fixed per-message overhead charged on top of the encoded batch (the
 /// envelope fields of the structured-clone message).
 const MESSAGE_ENVELOPE_BYTES: usize = 24;
-/// Process-environment variable that disables the ring transport (set to
-/// `"0"`); the benchmarks use it to compare ring and framed submission.
-pub const RINGS_ENV_VAR: &str = "BROWSIX_SYSCALL_RINGS";
 
 /// Which convention the client ended up using.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,25 +53,18 @@ pub enum ClientMode {
     Sync,
 }
 
-struct SyncState {
-    sab: SharedArrayBuffer,
-    /// The persistent submission/completion ring, once the kernel has
-    /// accepted its geometry.
-    ring: Option<Ring>,
-}
-
 /// The per-process system-call client.
 pub struct SyscallClient {
     pid: u32,
     config: PlatformConfig,
     kernel: Sender<KernelEvent>,
     scope: WorkerScope,
-    mode: ClientMode,
     next_seq: u64,
     stashed: HashMap<u64, CompletionBatch>,
     signals: VecDeque<Signal>,
     shared_maps: HashMap<u64, SharedArrayBuffer>,
-    sync: Option<SyncState>,
+    /// The persistent submission/completion ring (synchronous convention).
+    ring: Option<Ring>,
     terminated: bool,
 }
 
@@ -84,7 +72,7 @@ impl std::fmt::Debug for SyscallClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyscallClient")
             .field("pid", &self.pid)
-            .field("mode", &self.mode)
+            .field("mode", &self.mode())
             .field("terminated", &self.terminated)
             .finish()
     }
@@ -108,49 +96,32 @@ impl SyscallClient {
             config,
             kernel,
             scope,
-            mode: ClientMode::Async,
             next_seq: 0,
             stashed: HashMap::new(),
             signals: VecDeque::new(),
             shared_maps: HashMap::new(),
-            sync: None,
+            ring: None,
             terminated: false,
         };
         let start = client.wait_for_init();
         if prefer_sync && client.config.shared_memory {
-            let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
-            let _ = client.kernel.send(KernelEvent::RegisterSyncHeap {
-                pid: client.pid,
-                sab: sab.clone(),
-                resp_offset: RESP_OFFSET,
-                wake_offset: WAKE_OFFSET,
-            });
-            client.sync = Some(SyncState {
-                sab: sab.clone(),
-                ring: None,
-            });
-            client.mode = ClientMode::Sync;
-            // The persistent rings ride the same heap; `BROWSIX_SYSCALL_RINGS=0`
-            // in the process environment keeps the framed transport (how the
-            // benchmarks compare the two submission paths).
-            let rings_disabled = start.env.iter().any(|(k, v)| k == RINGS_ENV_VAR && v == "0");
-            if !rings_disabled {
-                client.setup_ring(sab);
-            }
+            client.setup_ring();
         }
         (client, start)
     }
 
-    /// Asks the kernel to map a submission/completion ring over the
-    /// registered heap.  The request itself travels over the framed
-    /// transport — the ring does not exist until the kernel accepts the
-    /// geometry.
-    fn setup_ring(&mut self, sab: SharedArrayBuffer) {
+    /// Registers a shared heap with the kernel and asks it to map the
+    /// submission/completion ring into it.  `ring_setup` travels over the
+    /// asynchronous convention — the ring does not exist until the kernel
+    /// accepts the geometry — and is the only call that does.
+    fn setup_ring(&mut self) {
+        let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
         let geo = RingGeometry::standard(RING_REGION_OFFSET as u32);
-        if !geo.validate(sab.len()) {
-            return;
-        }
-        let accepted = self.call(Syscall::RingSetup {
+        let _ = self.kernel.send(KernelEvent::RegisterSyncHeap {
+            pid: self.pid,
+            sab: sab.clone(),
+        });
+        let setup = Syscall::RingSetup {
             sq_offset: geo.sq_offset,
             cq_offset: geo.cq_offset,
             slots: geo.slots,
@@ -158,17 +129,10 @@ impl SyscallClient {
             buf_offset: geo.buf_offset,
             buf_count: geo.buf_count,
             buf_bytes: geo.buf_bytes,
-        }) == SysResult::Ok;
-        if accepted {
-            if let Some(state) = self.sync.as_mut() {
-                state.ring = Some(Ring::new(sab, geo));
-            }
+        };
+        if self.submit_async(SyscallBatch::single(setup)).pop() == Some(SysResult::Ok) {
+            self.ring = Some(Ring::new(sab, geo));
         }
-    }
-
-    /// Whether system calls are travelling over a persistent ring.
-    pub fn ring_enabled(&self) -> bool {
-        self.sync.as_ref().is_some_and(|s| s.ring.is_some())
     }
 
     /// The process id assigned by the kernel.
@@ -178,7 +142,10 @@ impl SyscallClient {
 
     /// Which convention the client is using.
     pub fn mode(&self) -> ClientMode {
-        self.mode
+        match self.ring {
+            Some(_) => ClientMode::Sync,
+            None => ClientMode::Async,
+        }
     }
 
     /// Whether the kernel has terminated this worker (SIGKILL).
@@ -256,11 +223,12 @@ impl SyscallClient {
             .unwrap_or(SysResult::Err(Errno::EIO))
     }
 
-    /// Submits a whole batch in one kernel round trip and returns one result
-    /// per entry, in submission order.  Entries are dispatched in order
-    /// against the same task state; entries that block inside the kernel
-    /// complete individually without holding up the rest, and the call
-    /// returns once every entry has completed.
+    /// Submits a whole batch and returns one result per entry, in
+    /// submission order: one message round trip (asynchronous convention) or
+    /// one entry per call through the ring (synchronous convention).
+    /// Entries are dispatched in order against the same task state; entries
+    /// that block inside the kernel complete individually without holding up
+    /// the rest, and the call returns once every entry has completed.
     pub fn submit(&mut self, batch: SyscallBatch) -> Vec<SysResult> {
         let n = batch.len();
         if n == 0 {
@@ -269,35 +237,47 @@ impl SyscallClient {
         if self.terminated {
             return vec![SysResult::Err(Errno::EINTR); n];
         }
-        match self.mode {
-            ClientMode::Sync => {
-                if let Some(results) = self.try_submit_ring(&batch) {
-                    return results;
-                }
-                self.submit_sync(batch)
-            }
-            ClientMode::Async => self.submit_async(batch),
+        let Some(ring) = self.ring.clone() else {
+            return self.submit_async(batch);
+        };
+        // fork is incompatible with the synchronous convention (§3.2).
+        if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
+            return vec![SysResult::Err(Errno::ENOSYS); n];
         }
+        let encoded: Vec<Vec<u8>> = batch
+            .entries
+            .iter()
+            .map(|call| {
+                let mut frame = Vec::with_capacity(32);
+                call.encode_into(&mut frame);
+                frame
+            })
+            .collect();
+        self.pump_ring(&ring, &encoded)
     }
 
     /// Issues a system call without waiting for a result (used for `exit`,
-    /// which never gets a reply).
+    /// which never gets a reply).  On the ring it is an entry that gets no
+    /// completion; the queue is empty here, because every earlier batch has
+    /// completed.
     pub fn send_only(&mut self, call: Syscall) {
-        let payload = SyscallBatch::single(call).encode();
-        let transport = match self.mode {
-            ClientMode::Sync => Transport::Sync { payload },
-            ClientMode::Async => {
-                self.next_seq += 1;
-                precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
-                Transport::Async {
-                    seq: self.next_seq,
-                    payload,
-                }
+        if let Some(ring) = &self.ring {
+            let mut frame = Vec::with_capacity(16);
+            call.encode_into(&mut frame);
+            if ring.push_sqe(0, &frame).is_ok() && ring.take_doorbell() {
+                let _ = self.kernel.send(KernelEvent::Doorbell { pid: self.pid });
             }
-        };
+            return;
+        }
+        let payload = SyscallBatch::single(call).encode();
+        self.next_seq += 1;
+        precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
         let _ = self.kernel.send(KernelEvent::Syscall {
             pid: self.pid,
-            transport,
+            transport: Transport {
+                seq: self.next_seq,
+                payload,
+            },
         });
     }
 
@@ -306,8 +286,8 @@ impl SyscallClient {
     /// to an inline copy when running asynchronously or when `data` does not
     /// fit in the data area.
     pub fn stage_write(&mut self, data: &[u8]) -> browsix_core::ByteSource {
-        if let (ClientMode::Sync, Some(state)) = (&self.mode, &self.sync) {
-            if DATA_OFFSET + data.len() <= SYNC_HEAP_BYTES && state.sab.write_bytes(DATA_OFFSET, data).is_ok() {
+        if let Some(ring) = &self.ring {
+            if data.len() <= SYNC_DATA_CAPACITY && ring.sab().write_bytes(DATA_OFFSET, data).is_ok() {
                 return browsix_core::ByteSource::SharedHeap {
                     offset: DATA_OFFSET as u32,
                     len: data.len() as u32,
@@ -320,9 +300,9 @@ impl SyscallClient {
     /// The maximum number of bytes [`SyscallClient::stage_write`] can place in
     /// the shared heap at once.
     pub fn max_staged_write(&self) -> usize {
-        match self.mode {
-            ClientMode::Sync => SYNC_DATA_CAPACITY,
-            ClientMode::Async => usize::MAX,
+        match self.ring {
+            Some(_) => SYNC_DATA_CAPACITY,
+            None => usize::MAX,
         }
     }
 
@@ -339,7 +319,7 @@ impl SyscallClient {
             .kernel
             .send(KernelEvent::Syscall {
                 pid: self.pid,
-                transport: Transport::Async { seq, payload },
+                transport: Transport { seq, payload },
             })
             .is_err()
         {
@@ -377,28 +357,6 @@ impl SyscallClient {
         }
     }
 
-    /// Submits the batch over the persistent ring, if one is mapped and every
-    /// entry is ring-safe.  Returns `None` to fall back to the framed
-    /// transport.
-    fn try_submit_ring(&mut self, batch: &SyscallBatch) -> Option<Vec<SysResult>> {
-        let ring = self.sync.as_ref()?.ring.clone()?;
-        let payload_cap = ring.geometry().slot_payload_bytes();
-        let buf_cap = ring.geometry().buf_bytes;
-        let mut encoded = Vec::with_capacity(batch.len());
-        for call in &batch.entries {
-            if !ring_safe(call, buf_cap) {
-                return None;
-            }
-            let mut frame = Vec::with_capacity(32);
-            call.encode_into(&mut frame);
-            if frame.len() > payload_cap {
-                return None;
-            }
-            encoded.push(frame);
-        }
-        Some(self.pump_ring(&ring, &encoded))
-    }
-
     /// Drives one batch through the ring: write submission entries in place
     /// (chunked through the queue in waves when the batch is larger than it),
     /// ring the doorbell only on an observed kernel park, and drain the
@@ -411,7 +369,16 @@ impl SyscallClient {
         let mut submitted = 0usize;
         let mut completed = 0usize;
         while completed < n {
-            while submitted < n && ring.push_sqe(submitted as u32, &encoded[submitted]) {
+            while submitted < n {
+                match ring.push_sqe(submitted as u32, &encoded[submitted]) {
+                    Ok(()) => {}
+                    // Larger than the whole buffer table: it cannot travel.
+                    Err(PushError::TooBig) => {
+                        results[submitted] = SysResult::Err(Errno::E2BIG);
+                        completed += 1;
+                    }
+                    Err(PushError::Full | PushError::Corrupt) => break,
+                }
                 submitted += 1;
             }
             // Doorbell protocol: entries are published first, then the
@@ -426,7 +393,10 @@ impl SyscallClient {
             let seen_tail = ring.cq_tail();
             let mut progressed = false;
             while let Some((user_data, frame)) = ring.pop_cqe() {
-                let result = resolve_cqe(ring, &frame);
+                let result = match frame {
+                    Ok(frame) => SysResult::decode_from(&mut Reader::new(&frame)).unwrap_or(SysResult::Err(Errno::EIO)),
+                    Err(errno) => SysResult::Err(errno),
+                };
                 if let Some(slot) = results.get_mut(user_data as usize) {
                     *slot = result;
                 }
@@ -445,6 +415,9 @@ impl SyscallClient {
                 self.terminated = true;
                 return vec![SysResult::Err(Errno::EINTR); n];
             }
+            if ring.is_corrupt() {
+                return vec![SysResult::Err(Errno::EFAULT); n];
+            }
             match ring.sab().wait(
                 ring.geometry().cq_tail_off(),
                 seen_tail as i32,
@@ -458,87 +431,9 @@ impl SyscallClient {
         }
         results
     }
-
-    fn submit_sync(&mut self, batch: SyscallBatch) -> Vec<SysResult> {
-        let n = batch.len();
-        // fork is incompatible with the synchronous convention (§3.2).
-        if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
-            return vec![SysResult::Err(Errno::ENOSYS); n];
-        }
-        let Some(state) = &self.sync else {
-            return vec![SysResult::Err(Errno::EFAULT); n];
-        };
-        // Arm the wake address, send the (integer-only) request, block.
-        if state.sab.store_i32(WAKE_OFFSET, 0).is_err() {
-            return vec![SysResult::Err(Errno::EFAULT); n];
-        }
-        let payload = batch.encode();
-        precise_delay(self.config.post_cost(32));
-        if self
-            .kernel
-            .send(KernelEvent::Syscall {
-                pid: self.pid,
-                transport: Transport::Sync { payload },
-            })
-            .is_err()
-        {
-            self.terminated = true;
-            return vec![SysResult::Err(Errno::EINTR); n];
-        }
-        loop {
-            if self.scope.terminated() {
-                self.terminated = true;
-                return vec![SysResult::Err(Errno::EINTR); n];
-            }
-            let state = self.sync.as_ref().expect("checked above");
-            match state.sab.wait(WAKE_OFFSET, 0, Some(Duration::from_millis(100))) {
-                Ok(AtomicsWaitResult::TimedOut) => continue,
-                Ok(_) => break,
-                Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-            }
-        }
-        // Decode [len][completion frame] from the response area.
-        let state = self.sync.as_ref().expect("checked above");
-        let len_bytes = match state.sab.read_bytes(RESP_OFFSET, 4) {
-            Ok(bytes) => bytes,
-            Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-        };
-        let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        let frame = match state.sab.read_bytes(RESP_OFFSET + 4, len) {
-            Ok(bytes) => bytes,
-            Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-        };
-        results_from(CompletionBatch::decode(&frame).unwrap_or_default(), n)
-    }
 }
-
-// Ring eligibility comes from the IDL's per-syscall `ring:` class, via the
-// classifier generated into `browsix_core::abi`: a call may ride the ring
-// when its submission entry fits a slot and its result is bounded — by a
-// completion slot, or by one registered buffer for bulk reads.  Everything
-// else (fork, unbounded-result directory/link calls, oversized reads) takes
-// the framed transport.
-use browsix_core::abi::ring_safe;
 
 include!(concat!(env!("OUT_DIR"), "/client_gen.rs"));
-
-/// Decodes one completion entry, dereferencing (and freeing) a
-/// registered-buffer result.
-fn resolve_cqe(ring: &Ring, frame: &[u8]) -> SysResult {
-    let mut r = Reader::new(frame);
-    match SysResult::decode_from(&mut r) {
-        Some(SysResult::DataFixed { buf, len }) => {
-            let data = ring.read_buf(buf, len as usize);
-            ring.free_buf(buf);
-            match data {
-                Some(bytes) => SysResult::Data(bytes),
-                None => SysResult::Err(Errno::EFAULT),
-            }
-        }
-        Some(result) => result,
-        None => SysResult::Err(Errno::EIO),
-    }
-}
 
 /// Spreads a completion batch back into one result per submission entry.
 /// Entries the kernel never completed (which should not happen) read as I/O
@@ -629,11 +524,9 @@ mod tests {
 
     #[test]
     fn sync_layout_constants_are_consistent() {
-        const { assert!(RESP_OFFSET > WAKE_OFFSET + 4) };
-        const { assert!(DATA_OFFSET > RESP_OFFSET) };
         const { assert!(SYNC_DATA_CAPACITY > 64 * 1024) };
         const { assert!(DATA_OFFSET + SYNC_DATA_CAPACITY <= RING_REGION_OFFSET) };
-        const { assert!(RING_REGION_OFFSET + browsix_core::ring::RING_REGION_BYTES as usize <= SYNC_HEAP_BYTES) };
+        assert!(RingGeometry::standard(RING_REGION_OFFSET as u32).validate(SYNC_HEAP_BYTES));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod program;
 
 pub use browsix_browser::SharedArrayBuffer;
 pub use browsix_env::BrowsixEnv;
-pub use client::{ClientMode, SyscallClient, RINGS_ENV_VAR};
+pub use client::{ClientMode, SyscallClient};
 pub use emscripten::{EmscriptenLauncher, EmscriptenMode};
 pub use env::{
     MappedRegion, PollFd, RuntimeEnv, SpawnStdio, WaitedChild, MAP_ANONYMOUS, MAP_PRIVATE, MAP_SHARED, PAGE_SIZE,

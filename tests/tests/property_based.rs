@@ -578,23 +578,27 @@ proptest! {
 
     /// The shared-memory submission/completion ring against a plain
     /// `VecDeque` model, under arbitrary single-threaded interleavings of
-    /// client submits, kernel drains and client completion reaps:
+    /// client submits, kernel drains, client completion reaps and guest
+    /// corruption of the index words:
     ///
     /// * acceptance agrees with the model (a push succeeds exactly when the
     ///   model queue is below capacity),
     /// * entries come out in submission order with their payloads intact
     ///   (no lost, duplicated, reordered or corrupted entries),
-    /// * the doorbell fires exactly on empty→nonempty transitions, and
+    /// * the doorbell fires exactly on empty→nonempty transitions,
     /// * after every kernel drain the strict protocol invariant holds: the
     ///   submission queue is empty and NEED_WAKEUP is set.  (This is the
     ///   deterministic statement of the invariant; kernel-side it can only
     ///   be enforced structurally, because a concurrent client may be
     ///   mid-publish at any instant.)
+    /// * a head word the guest pushed past `tail + slots` (occupancy beyond
+    ///   the queue) panics nothing: the queue has no space and yields no
+    ///   entries until the word is restored.
     #[test]
     fn ring_matches_fifo_model(
-        ops in proptest::collection::vec((0u8..3, any::<u8>()), 1..160),
+        ops in proptest::collection::vec((0u8..4, any::<u8>()), 1..160),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, NEED_WAKEUP, RING_REGION_BYTES, RING_SLOTS};
+        use browsix_core::ring::{PushError, Ring, RingGeometry, NEED_WAKEUP, RING_REGION_BYTES, RING_SLOTS};
         use std::collections::VecDeque;
 
         let sab = browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize);
@@ -603,7 +607,7 @@ proptest! {
         // Two views of the same shared memory, exactly as in the real system:
         // the client's and the kernel's.
         let client = Ring::new(sab.clone(), geo);
-        let kernel = Ring::new(sab, geo);
+        let kernel = Ring::new(sab.clone(), geo);
         kernel.set_need_wakeup();
 
         let mut next_user: u32 = 0;
@@ -623,7 +627,7 @@ proptest! {
                         .map(|i| (i as u8).wrapping_add(size))
                         .collect();
                     let was_empty = client.sq_is_empty();
-                    let accepted = client.push_sqe(next_user, &payload);
+                    let accepted = client.push_sqe(next_user, &payload).is_ok();
                     prop_assert_eq!(accepted, model_sq.len() < RING_SLOTS as usize, "SQ acceptance diverged");
                     if accepted {
                         model_sq.push_back((next_user, payload));
@@ -642,13 +646,14 @@ proptest! {
                     // space — otherwise the real kernel queues it; the model
                     // defers the echo the same way), then arm NEED_WAKEUP.
                     while let Some((user, data)) = kernel.pop_sqe() {
+                        let data = data.expect("slot-sized entries never spill");
                         let (expected_user, expected_data) = model_sq
                             .pop_front()
                             .expect("kernel drained an entry the model never saw");
                         prop_assert_eq!(user, expected_user, "drain order diverged");
                         prop_assert_eq!(&data, &expected_data, "payload corrupted in the SQ");
                         if kernel.cq_space() > 0 {
-                            prop_assert!(kernel.push_cqe(user, &data));
+                            prop_assert!(kernel.push_cqe(user, &data).is_ok());
                             model_cq.push_back((user, data));
                         }
                     }
@@ -658,7 +663,7 @@ proptest! {
                     prop_assert!(kernel.sq_is_empty(), "drain left the SQ non-empty");
                     prop_assert_eq!(kernel.sq_flags() & NEED_WAKEUP, NEED_WAKEUP, "drain left NEED_WAKEUP clear");
                 }
-                _ => {
+                2 => {
                     // Client reap: completions arrive in order, none lost,
                     // none duplicated, payloads intact.
                     while let Some((user, data)) = client.pop_cqe() {
@@ -666,9 +671,28 @@ proptest! {
                             .pop_front()
                             .expect("client reaped a completion the model never posted");
                         prop_assert_eq!(user, expected_user, "completion order diverged");
-                        prop_assert_eq!(&data, &expected_data, "payload corrupted in the CQ");
+                        prop_assert_eq!(data, Ok(expected_data), "payload corrupted in the CQ");
                     }
                     prop_assert!(model_cq.is_empty(), "client lost completions");
+                }
+                _ => {
+                    // Guest corruption: head = tail + slots + 5 on one queue.
+                    let queue = if size % 2 == 0 { geo.sq_offset } else { geo.cq_offset } as usize;
+                    let saved = sab.load_u32(queue).unwrap();
+                    let tail = sab.load_u32(queue + 4).unwrap();
+                    sab.store_i32(queue, tail.wrapping_add(RING_SLOTS + 5) as i32).unwrap();
+                    prop_assert!(kernel.is_corrupt() && client.is_corrupt());
+                    if queue == geo.sq_offset as usize {
+                        prop_assert_eq!(client.sq_space(), 0);
+                        prop_assert_eq!(client.push_sqe(next_user, b"x"), Err(PushError::Corrupt));
+                        prop_assert!(kernel.pop_sqe().is_none());
+                    } else {
+                        prop_assert_eq!(kernel.cq_space(), 0);
+                        prop_assert_eq!(kernel.push_cqe(next_user, b"x"), Err(PushError::Corrupt));
+                        prop_assert!(client.pop_cqe().is_none());
+                    }
+                    sab.store_i32(queue, saved as i32).unwrap();
+                    prop_assert!(!kernel.is_corrupt());
                 }
             }
         }
@@ -676,52 +700,70 @@ proptest! {
         // Final settle: drain and reap everything; nothing may be left
         // behind in either direction.
         while let Some((user, data)) = kernel.pop_sqe() {
+            let data = data.expect("slot-sized entries never spill");
             let (expected_user, expected_data) = model_sq.pop_front().expect("lost SQE");
             prop_assert_eq!(user, expected_user);
             prop_assert_eq!(&data, &expected_data);
-            prop_assert!(kernel.push_cqe(user, &data));
+            prop_assert!(kernel.push_cqe(user, &data).is_ok());
             model_cq.push_back((user, data));
         }
         prop_assert!(model_sq.is_empty(), "entries stuck in the model SQ");
         while let Some((user, data)) = client.pop_cqe() {
             let (expected_user, expected_data) = model_cq.pop_front().expect("lost CQE");
             prop_assert_eq!(user, expected_user);
-            prop_assert_eq!(&data, &expected_data);
+            prop_assert_eq!(data, Ok(expected_data));
         }
         prop_assert!(model_cq.is_empty(), "completions never reached the client");
         prop_assert!(doorbells <= ops.len() as u32);
     }
 
-    /// The registered-buffer table is a correct allocator: distinct live
-    /// indices, contents round-trip, and a freed buffer is reusable.
+    /// Frames too large for a slot spill into the registered-buffer table
+    /// and come back intact: the producer is refused exactly when the free
+    /// buffers cannot hold the frame, the consumer releases every run, and
+    /// a frame larger than the whole table is refused outright.
     #[test]
     fn ring_registered_buffers_round_trip(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..512), 1..8),
+        sizes in proptest::collection::vec(0usize..=7 * 64 * 1024, 1..8),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, RING_REGION_BYTES};
+        use browsix_core::ring::{PushError, Ring, RingGeometry, REG_BUF_BYTES, REG_BUF_COUNT, RING_REGION_BYTES};
+        use std::collections::VecDeque;
 
         let sab = browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize);
-        let ring = Ring::new(sab, RingGeometry::standard(0));
-        let mut live: Vec<(u32, Vec<u8>)> = Vec::new();
-        for payload in &payloads {
-            let Some(index) = ring.alloc_buf() else {
-                // Table exhausted: every live index must still be distinct.
-                break;
-            };
-            prop_assert!(live.iter().all(|(i, _)| *i != index), "allocator handed out a live index");
-            prop_assert!(ring.write_buf(index, payload));
-            live.push((index, payload.clone()));
+        let geo = RingGeometry::standard(0);
+        let client = Ring::new(sab.clone(), geo);
+        let kernel = Ring::new(sab, geo);
+        let mut live: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
+        // Buffers held by published frames; with no frees in between,
+        // first-fit packs the runs, so the free ones are one run.
+        let mut held = 0usize;
+        for (i, &size) in sizes.iter().enumerate() {
+            let mut frame = vec![i as u8; size];
+            if let Some(last) = frame.last_mut() {
+                *last = 0xA5;
+            }
+            let bufs = if size <= geo.slot_payload_bytes() { 0 } else { size.div_ceil(REG_BUF_BYTES as usize) };
+            match client.push_sqe(i as u32, &frame) {
+                Ok(()) => {
+                    held += bufs;
+                    live.push_back((i as u32, frame));
+                }
+                Err(PushError::Full) => {
+                    prop_assert!(held + bufs > REG_BUF_COUNT as usize, "refused a frame the free buffers hold");
+                }
+                Err(other) => prop_assert!(false, "unexpected {:?}", other),
+            }
         }
-        for (index, expected) in &live {
-            prop_assert_eq!(ring.read_buf(*index, expected.len()).as_ref(), Some(expected));
-            ring.free_buf(*index);
+        while let Some((user, frame)) = kernel.pop_sqe() {
+            let (expected_user, expected) = live.pop_front().expect("drained a frame never published");
+            prop_assert_eq!(user, expected_user);
+            prop_assert_eq!(frame, Ok(expected));
         }
-        // Everything freed: the table serves the full complement again.
-        let mut again = Vec::new();
-        while let Some(index) = ring.alloc_buf() {
-            again.push(index);
-        }
-        prop_assert_eq!(again.len(), browsix_core::ring::REG_BUF_COUNT as usize);
+        prop_assert!(live.is_empty());
+        // Every run was released: the largest frame travels back.
+        let max = vec![7u8; geo.max_frame_bytes()];
+        prop_assert!(kernel.push_cqe(1, &max).is_ok());
+        prop_assert_eq!(client.pop_cqe(), Some((1, Ok(max))));
+        prop_assert_eq!(kernel.push_cqe(2, &vec![0u8; geo.max_frame_bytes() + 1]), Err(PushError::TooBig));
     }
 }
 

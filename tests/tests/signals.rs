@@ -15,7 +15,10 @@ use browsix_core::{
     WNOHANG, WUNTRACED,
 };
 use browsix_fs::FileSystem;
-use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallClient, SyscallConvention};
+use browsix_runtime::{
+    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallClient,
+    SyscallConvention,
+};
 
 fn instant_async() -> ExecutionProfile {
     ExecutionProfile::instant(SyscallConvention::Async)
@@ -396,6 +399,66 @@ fn sigcont_resumes_a_stopped_task_even_when_blocked() {
             .iter()
             .any(|(pid, _, _, state)| *pid == handle.pid && state == "stopped")
     });
+    kernel.kill(handle.pid, Signal::SIGCONT).unwrap();
+    let status = handle
+        .wait_timeout(Duration::from_secs(20))
+        .expect("a blocked SIGCONT must still resume the stopped task");
+    assert_eq!(status.code, Some(9), "stderr: {}", handle.stderr_string());
+    kernel.shutdown();
+}
+
+/// The synchronous-convention twin: the worker keeps submitting ring
+/// entries while stopped, but they stay queued (the queue is the stash), so
+/// not one syscall is serviced until SIGCONT — and then the task runs on and
+/// exits normally.
+#[test]
+fn sigcont_resumes_a_stopped_sync_task_even_when_blocked() {
+    let config = BootConfig::in_memory();
+    config.registry.register(
+        "/usr/bin/cont-spinner",
+        Arc::new(
+            EmscriptenLauncher::new(
+                "cont-spinner",
+                guest("cont-spinner", |env: &mut dyn RuntimeEnv| {
+                    let mut mask = SigSet::empty();
+                    mask.insert(Signal::SIGCONT);
+                    env.sigprocmask(SIG_BLOCK, mask).unwrap();
+                    env.print("ready\n");
+                    env.flush_stdout().unwrap();
+                    // Spin on cheap calls until the test says go.
+                    loop {
+                        env.getpid();
+                        if env.exists("/go") {
+                            return 9;
+                        }
+                    }
+                }),
+                EmscriptenMode::AsmJs,
+            )
+            .with_profile(ExecutionProfile::instant(SyscallConvention::Sync)),
+        ),
+    );
+    let kernel = Kernel::boot(config);
+    let handle = kernel.spawn("/usr/bin/cont-spinner", &["cont-spinner"], &[]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !handle.stdout_string().contains("ready") {
+        assert!(Instant::now() < deadline, "guest never became ready");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    kernel.kill(handle.pid, Signal::SIGSTOP).unwrap();
+    wait_for_tasks(&kernel, Duration::from_secs(10), |tasks| {
+        tasks
+            .iter()
+            .any(|(pid, _, _, state)| *pid == handle.pid && state == "stopped")
+    });
+    let stopped_at = kernel.stats().total_syscalls;
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        kernel.stats().total_syscalls,
+        stopped_at,
+        "the kernel serviced a stopped task's ring entries"
+    );
+    kernel.fs().write_file("/go", b"").unwrap();
     kernel.kill(handle.pid, Signal::SIGCONT).unwrap();
     let status = handle
         .wait_timeout(Duration::from_secs(20))
